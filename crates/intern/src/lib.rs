@@ -47,7 +47,7 @@
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Word-wise FNV-1a hasher for the pool's lookup map.
 ///
@@ -99,8 +99,12 @@ type FnvBuild = BuildHasherDefault<FnvHasher>;
 /// An untyped intern pool. Use through [`intern_pool!`], which ties one
 /// static `Pool` to a symbol newtype; the raw API is public so the
 /// macro expansion (and tests) can reach it.
+///
+/// Lookups of already-interned strings — nearly every call once a
+/// load's vocabulary has been seen — share a read lock, so parallel
+/// loaders only serialize on first sightings.
 pub struct Pool {
-    state: OnceLock<Mutex<PoolState>>,
+    state: OnceLock<RwLock<PoolState>>,
 }
 
 struct PoolState {
@@ -133,15 +137,23 @@ impl Pool {
         }
     }
 
-    fn state(&self) -> &Mutex<PoolState> {
+    fn state(&self) -> &RwLock<PoolState> {
         self.state.get_or_init(|| {
             let mut lookup = HashMap::with_hasher(FnvBuild::default());
             lookup.insert("", 0);
-            Mutex::new(PoolState {
+            RwLock::new(PoolState {
                 lookup,
                 strings: vec![""],
             })
         })
+    }
+
+    fn read(&self) -> RwLockReadGuard<'_, PoolState> {
+        self.state().read().expect("intern pool poisoned")
+    }
+
+    fn write(&self) -> RwLockWriteGuard<'_, PoolState> {
+        self.state().write().expect("intern pool poisoned")
     }
 
     /// Interns `s`, returning its stable symbol. The first sighting of
@@ -153,11 +165,13 @@ impl Pool {
     /// Panics if the pool exceeds `u32::MAX` distinct strings (a pool
     /// holding unbounded values is a misuse of this crate).
     pub fn intern(&self, s: &str) -> u32 {
-        self.state().lock().expect("intern pool poisoned").intern(s)
+        let known = self.read().lookup.get(s).copied();
+        known.unwrap_or_else(|| self.write().intern(s))
     }
 
-    /// Interns a batch of strings under a single pool lock, returning
-    /// one symbol per input in order.
+    /// Interns a batch of strings under a single shared pool lock (plus
+    /// one exclusive lock when the batch holds first sightings),
+    /// returning one symbol per input in order.
     ///
     /// Bulk loaders (the columnar snapshot reader re-interning a
     /// segment's whole string table) call this instead of paying one
@@ -167,8 +181,19 @@ impl Pool {
     ///
     /// Panics as [`Pool::intern`] does on pool overflow.
     pub fn intern_all(&self, strs: &[&str]) -> Vec<u32> {
-        let mut state = self.state().lock().expect("intern pool poisoned");
-        strs.iter().map(|s| state.intern(s)).collect()
+        let known: Vec<Option<u32>> = {
+            let state = self.read();
+            strs.iter().map(|s| state.lookup.get(s).copied()).collect()
+        };
+        if known.iter().all(Option::is_some) {
+            return known.into_iter().flatten().collect();
+        }
+        // First sightings, in input order, under one write lock.
+        let mut state = self.write();
+        strs.iter()
+            .zip(known)
+            .map(|(s, sym)| sym.unwrap_or_else(|| state.intern(s)))
+            .collect()
     }
 
     /// Resolves a symbol produced by [`Pool::intern`].
@@ -179,15 +204,14 @@ impl Pool {
     /// the typed newtypes).
     #[must_use]
     pub fn resolve(&self, sym: u32) -> &'static str {
-        let state = self.state().lock().expect("intern pool poisoned");
-        state.strings[sym as usize]
+        self.read().strings[sym as usize]
     }
 
     /// Number of distinct strings interned so far (≥ 1: the empty
     /// string is pre-interned as symbol 0).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.state().lock().expect("intern pool poisoned").strings.len()
+        self.read().strings.len()
     }
 
     /// `false`: every pool holds at least the empty string.
@@ -364,6 +388,54 @@ mod tests {
         assert_eq!(batch[2], batch[0]);
         assert_eq!(batch[3], TestSym::default());
         assert_eq!(TestSym::intern_all(&[]), Vec::new());
+    }
+
+    #[test]
+    fn concurrent_batches_agree_on_every_symbol() {
+        // Overlapping batches raced from several threads: the mix of
+        // shared-lock hits and exclusive-lock first sightings must still
+        // give each distinct string exactly one symbol. (A pool of its
+        // own, so other tests' pool-size deltas are not disturbed.)
+        intern_pool! {
+            struct RaceSym
+        }
+        let words: Vec<String> = (0..400).map(|i| format!("race-{}", i % 150)).collect();
+        let words: Vec<&str> = words.iter().map(String::as_str).collect();
+        let batches: Vec<Vec<RaceSym>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..4)
+                .map(|t| {
+                    let words = &words;
+                    s.spawn(move || {
+                        let mut batch = words.clone();
+                        batch.rotate_left(t * 37);
+                        let syms = RaceSym::intern_all(&batch);
+                        batch
+                            .iter()
+                            .zip(syms)
+                            .map(|(w, sym)| (*w, sym))
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| {
+                    let mut pairs = h.join().unwrap();
+                    pairs.sort_by_key(|(w, _)| *w);
+                    pairs.into_iter().map(|(_, sym)| sym).collect()
+                })
+                .collect()
+        });
+        for batch in &batches[1..] {
+            assert_eq!(batch, &batches[0]);
+        }
+        for (word, sym) in words.iter().zip(RaceSym::intern_all(&words)) {
+            assert_eq!(sym.as_str(), *word);
+            assert_eq!(sym, RaceSym::intern(word));
+            assert!(!sym.is_empty());
+        }
+        // "" plus the 150 distinct words: no string was interned twice.
+        assert_eq!(RaceSym::pool_len(), 151);
     }
 
     #[test]

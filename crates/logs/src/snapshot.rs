@@ -264,20 +264,49 @@ pub fn day_of(ts: Timestamp) -> i64 {
     ts.as_secs().div_euclid(SECS_PER_DAY)
 }
 
-/// Splits `0..len` into day runs by the (sorted, per-row) day key.
-fn day_runs(len: usize, day_at: impl Fn(usize) -> i64) -> Vec<(i64, Range<usize>)> {
+/// Splits `rows` into day runs by the per-row day key, which must be
+/// ascending. Each run's end is found by a galloping search from the
+/// run's start: O(log run) probes, all near the run, instead of a day
+/// computation for every row (a plain binary search over the rest of
+/// the table would probe far-apart, cache-cold rows).
+fn day_runs<T>(rows: &[T], day_of_row: impl Fn(&T) -> i64) -> Vec<(i64, Range<usize>)> {
+    let on_day = |i: usize, day: i64| rows.get(i).is_some_and(|r| day_of_row(r) == day);
     let mut runs = Vec::new();
     let mut start = 0usize;
-    while start < len {
-        let day = day_at(start);
-        let mut end = start + 1;
-        while end < len && day_at(end) == day {
-            end += 1;
+    while let Some(first) = rows.get(start) {
+        let day = day_of_row(first);
+        let mut step = 1;
+        while on_day(start + step, day) {
+            step *= 2;
         }
+        // Row `start + step / 2` is on `day` and row `start + step` is
+        // not (or is past the end): the run ends in between.
+        let window = start + step / 2 + 1..rows.len().min(start + step);
+        let end = window.start + rows[window].partition_point(|r| day_of_row(r) == day);
         runs.push((day, start..end));
         start = end;
     }
     runs
+}
+
+/// The rows of `day` in one table of `len` rows, given its day runs and
+/// a cursor at the first run not yet taken (advanced past `day`'s run).
+/// A day the table lacks gets the empty range where its next run
+/// starts, or at its end.
+fn next_span(
+    runs: &[(i64, Range<usize>)],
+    cursor: &mut usize,
+    day: i64,
+    len: usize,
+) -> Range<usize> {
+    match runs.get(*cursor) {
+        Some((d, r)) if *d == day => {
+            *cursor += 1;
+            r.clone()
+        }
+        Some((_, r)) => r.start..r.start,
+        None => len..len,
+    }
 }
 
 impl PartitionMap {
@@ -290,9 +319,9 @@ impl PartitionMap {
             is_canonical(ds),
             "PartitionMap::of_dataset requires a normalized dataset"
         );
-        let jobs = day_runs(ds.jobs.len(), |i| day_of(ds.jobs[i].started_at));
-        let ras = day_runs(ds.ras.len(), |i| day_of(ds.ras[i].event_time));
-        let tasks = day_runs(ds.tasks.len(), |i| day_of(ds.tasks[i].started_at));
+        let jobs = day_runs(&ds.jobs, |j| day_of(j.started_at));
+        let ras = day_runs(&ds.ras, |r| day_of(r.event_time));
+        let tasks = day_runs(&ds.tasks, |t| day_of(t.started_at));
         let mut days: Vec<i64> = jobs
             .iter()
             .chain(&ras)
@@ -301,29 +330,19 @@ impl PartitionMap {
             .collect();
         days.sort_unstable();
         days.dedup();
-        let lookup = |runs: &[(i64, Range<usize>)], day: i64, after: &Range<usize>| {
-            runs.iter()
-                .find(|(d, _)| *d == day)
-                .map(|(_, r)| r.clone())
-                .unwrap_or(after.end..after.end)
-        };
-        let mut map = PartitionMap::default();
-        let (mut pj, mut pr, mut pt) = (0..0, 0..0, 0..0);
-        for day in days {
-            let j = lookup(&jobs, day, &pj);
-            let r = lookup(&ras, day, &pr);
-            let t = lookup(&tasks, day, &pt);
-            pj = j.clone();
-            pr = r.clone();
-            pt = t.clone();
-            map.days.push(PartitionSpan {
+        // Merge walk: each table's runs are day-ascending, so one cursor
+        // per table advances past at most one run per day.
+        let (mut cj, mut cr, mut ct) = (0, 0, 0);
+        let days = days
+            .into_iter()
+            .map(|day| PartitionSpan {
                 day,
-                jobs: j,
-                ras: r,
-                tasks: t,
-            });
-        }
-        map
+                jobs: next_span(&jobs, &mut cj, day, ds.jobs.len()),
+                ras: next_span(&ras, &mut cr, day, ds.ras.len()),
+                tasks: next_span(&tasks, &mut ct, day, ds.tasks.len()),
+            })
+            .collect();
+        PartitionMap { days }
     }
 
     /// Number of partition days.
@@ -1212,7 +1231,8 @@ pub struct SnapshotReport {
     /// [`SnapshotReport::segments`]; a table is quarantined here only
     /// when the manifest marks it unavailable).
     pub load: LoadReport,
-    /// Per-segment outcomes, in (day, table) order.
+    /// Per-segment outcomes, table-major (jobs, ras, tasks, io) and
+    /// day-ascending within each table.
     pub segments: Vec<SegmentStats>,
     /// Day partitions of the loaded dataset (recomputed after
     /// normalization, so quarantined segments are simply absent).
@@ -1230,22 +1250,21 @@ impl SnapshotReport {
     }
 }
 
-/// One decoded segment, or the reason it could not be decoded.
+/// What loading one segment did. Its accepted rows live in the
+/// worker's [`Dataset`], not here.
 struct SegmentOutcome {
-    records: DecodedRows,
+    /// Rows decoded successfully (kept unless `quarantine` is set).
+    rows: usize,
     rejected: usize,
     quarantine: Option<(SegmentQuarantine, String)>,
-    /// First row-level rejection, for diagnostics.
-    first_row_error: Option<String>,
 }
 
 impl SegmentOutcome {
-    fn fail(table: &str, q: SegmentQuarantine, detail: impl Into<String>) -> Self {
+    fn fail(q: SegmentQuarantine, detail: impl Into<String>) -> Self {
         SegmentOutcome {
-            records: DecodedRows::empty(table),
+            rows: 0,
             rejected: 0,
             quarantine: Some((q, detail.into())),
-            first_row_error: None,
         }
     }
 }
@@ -1303,7 +1322,7 @@ fn check_segment<'a>(
 type PayloadParts<'a> = (Vec<&'a str>, &'a [u8]);
 
 /// Splits the payload into the parsed string table and the column bytes,
-/// verifying the sizes add up exactly.
+/// verifying the sizes add up exactly and every string is UTF-8.
 fn split_payload<'a>(
     table: &str,
     rows: usize,
@@ -1312,20 +1331,42 @@ fn split_payload<'a>(
 ) -> Result<PayloadParts<'a>, (SegmentQuarantine, String)> {
     use SegmentQuarantine as Q;
     let mut at = 0usize;
-    let mut strings = Vec::with_capacity(string_count);
+    // Every entry takes at least its 4-byte length prefix, which bounds
+    // the allocation however large the header's count claims to be.
+    let mut spans = Vec::with_capacity(string_count.min(payload.len() / 4));
+    let mut overrun = None;
     for i in 0..string_count {
-        if at + 4 > payload.len() {
-            return Err((Q::Header, format!("string {i} runs past payload")));
+        let len = payload
+            .get(at..at + 4)
+            .map(|b| u32::from_le_bytes(b.try_into().unwrap()) as usize);
+        match len {
+            Some(len) if at + 4 + len <= payload.len() => {
+                spans.push(at + 4..at + 4 + len);
+                at += 4 + len;
+            }
+            _ => {
+                overrun = Some(i);
+                break;
+            }
         }
-        let len = u32::from_le_bytes(payload[at..at + 4].try_into().unwrap()) as usize;
-        at += 4;
-        if at + len > payload.len() {
-            return Err((Q::Header, format!("string {i} runs past payload")));
-        }
-        let s = std::str::from_utf8(&payload[at..at + len])
-            .map_err(|_| (Q::Header, format!("string {i} is not UTF-8")))?;
+    }
+    // One UTF-8 pass over the whole string section is far cheaper than
+    // one per string, and a span on char boundaries of valid UTF-8 is
+    // valid UTF-8 itself. A span failing that test (say, next to a
+    // length prefix that is not ASCII) is validated on its own, so the
+    // verdict — and which string is reported first — is exactly that of
+    // validating each string separately.
+    let section = std::str::from_utf8(&payload[..at]).ok();
+    let mut strings = Vec::with_capacity(spans.len());
+    for (i, span) in spans.into_iter().enumerate() {
+        let s = section
+            .and_then(|text| text.get(span.clone()))
+            .or_else(|| std::str::from_utf8(&payload[span]).ok())
+            .ok_or_else(|| (Q::Header, format!("string {i} is not UTF-8")))?;
         strings.push(s);
-        at += len;
+    }
+    if let Some(i) = overrun {
+        return Err((Q::Header, format!("string {i} runs past payload")));
     }
     let cols = &payload[at..];
     let want = rows * row_width(table);
@@ -1385,13 +1426,21 @@ fn intern_messages(strings: &[&str], message_col: &[u32]) -> Vec<Option<MsgText>
     out
 }
 
-/// Decodes all rows of a validated segment, skipping rows that fail
-/// per-row validation (bad enum code, invalid block, bad location, …).
-fn decode_rows<R, F>(rows: usize, mut decode: F) -> (Vec<R>, usize, Option<String>)
+/// Decodes all rows of a validated segment onto `out`, skipping rows
+/// that fail per-row validation (bad enum code, invalid block, bad
+/// location, …).
+///
+/// The per-segment reject ceiling is applied here: one corrupt day must
+/// not hide under the whole-table aggregate (nor fail the other 2000).
+/// A segment whose ratio of rejected to scanned rows exceeds `limit`
+/// has its rows taken back off `out` and comes back quarantined as
+/// [`SegmentQuarantine::RejectRatio`], like any other unusable segment.
+fn decode_rows<R, F>(rows: usize, out: &mut Vec<R>, limit: f64, mut decode: F) -> SegmentOutcome
 where
     F: FnMut(usize) -> Result<R, String>,
 {
-    let mut out = Vec::with_capacity(rows);
+    out.reserve(rows);
+    let start = out.len();
     let mut rejected = 0usize;
     let mut first = None;
     for i in 0..rows {
@@ -1405,7 +1454,23 @@ where
             }
         }
     }
-    (out, rejected, first)
+    let decoded = out.len() - start;
+    let scanned = decoded + rejected;
+    let ratio = if scanned == 0 {
+        0.0
+    } else {
+        rejected as f64 / scanned as f64
+    };
+    let quarantine = (ratio > limit).then(|| {
+        out.truncate(start);
+        let detail = first.unwrap_or_else(|| "rows rejected".to_owned());
+        (SegmentQuarantine::RejectRatio, detail)
+    });
+    SegmentOutcome {
+        rows: decoded,
+        rejected,
+        quarantine,
+    }
 }
 
 fn enum_decode<T: Copy>(all: &[T], code: u8, what: &str) -> Result<T, String> {
@@ -1418,27 +1483,35 @@ fn block_decode(start: u16, len: u16) -> Result<Block, String> {
     Block::new(start, len).map_err(|e| format!("bad block: {e}"))
 }
 
-/// Reads and decodes one segment file.
-fn read_segment(table: &'static str, day: i64, root: &Path) -> SegmentOutcome {
+/// Reads one segment file and decodes its rows onto the end of the
+/// matching table of `into`, under the per-segment reject ceiling
+/// `limit` (see [`decode_rows`]).
+fn read_segment(
+    table: &'static str,
+    day: i64,
+    root: &Path,
+    limit: f64,
+    into: &mut Dataset,
+) -> SegmentOutcome {
     use SegmentQuarantine as Q;
     let path = segment_path(root, table, day);
     let bytes = match std::fs::read(&path) {
         Ok(b) => b,
         Err(e) if e.kind() == io::ErrorKind::NotFound => {
-            return SegmentOutcome::fail(table, Q::Missing, format!("{}: {e}", path.display()))
+            return SegmentOutcome::fail(Q::Missing, format!("{}: {e}", path.display()))
         }
-        Err(e) => return SegmentOutcome::fail(table, Q::Io, format!("{}: {e}", path.display())),
+        Err(e) => return SegmentOutcome::fail(Q::Io, format!("{}: {e}", path.display())),
     };
     let (rows, string_count, payload) = match check_segment(table, day, &bytes) {
         Ok(v) => v,
-        Err((q, detail)) => return SegmentOutcome::fail(table, q, detail),
+        Err((q, detail)) => return SegmentOutcome::fail(q, detail),
     };
     let (strings, cols) = match split_payload(table, rows, string_count, payload) {
         Ok(v) => v,
-        Err((q, detail)) => return SegmentOutcome::fail(table, q, detail),
+        Err((q, detail)) => return SegmentOutcome::fail(q, detail),
     };
     let c = ColumnReader::new(table, rows, cols);
-    let (records, rejected, first) = match table {
+    match table {
         "jobs" => {
             let job_id = c.u64s(0);
             let user = c.u32s(1);
@@ -1455,7 +1528,7 @@ fn read_segment(table: &'static str, day: i64, root: &Path) -> SegmentOutcome {
             let exit_code = c.i32s(12);
             let num_tasks = c.u32s(13);
             let resubmit_of = c.u64s(14);
-            let (r, n, f) = decode_rows(rows, |i| {
+            decode_rows(rows, &mut into.jobs, limit, |i| {
                 // Lineage links must point strictly backwards; anything
                 // else is corruption and rejects the row, not the segment.
                 if resubmit_of[i] != 0 && resubmit_of[i] >= job_id[i] {
@@ -1480,8 +1553,7 @@ fn read_segment(table: &'static str, day: i64, root: &Path) -> SegmentOutcome {
                     num_tasks: num_tasks[i],
                     resubmit_of: (resubmit_of[i] != 0).then(|| JobId::new(resubmit_of[i])),
                 })
-            });
-            (DecodedRows::Jobs(r), n, f)
+            })
         }
         "ras" => {
             let mut locs = LocationCache::new(&strings);
@@ -1495,7 +1567,7 @@ fn read_segment(table: &'static str, day: i64, root: &Path) -> SegmentOutcome {
             let count = c.u32s(7);
             let message = c.u32s(8);
             let msgs = intern_messages(&strings, &message);
-            let (r, n, f) = decode_rows(rows, |i| {
+            decode_rows(rows, &mut into.ras, limit, |i| {
                 Ok(RasRecord {
                     rec_id: RecId::new(rec_id[i]),
                     msg_id: MsgId::new(msg_id[i]),
@@ -1512,8 +1584,7 @@ fn read_segment(table: &'static str, day: i64, root: &Path) -> SegmentOutcome {
                             format!("message string index {} out of range", message[i])
                         })?,
                 })
-            });
-            (DecodedRows::Ras(r), n, f)
+            })
         }
         "tasks" => {
             let task_id = c.u64s(0);
@@ -1525,7 +1596,7 @@ fn read_segment(table: &'static str, day: i64, root: &Path) -> SegmentOutcome {
             let ended_at = c.i64s(6);
             let ranks = c.u64s(7);
             let exit_code = c.i32s(8);
-            let (r, n, f) = decode_rows(rows, |i| {
+            decode_rows(rows, &mut into.tasks, limit, |i| {
                 Ok(TaskRecord {
                     task_id: TaskId::new(task_id[i]),
                     job_id: JobId::new(job_id[i]),
@@ -1536,8 +1607,7 @@ fn read_segment(table: &'static str, day: i64, root: &Path) -> SegmentOutcome {
                     ranks: ranks[i],
                     exit_code: exit_code[i],
                 })
-            });
-            (DecodedRows::Tasks(r), n, f)
+            })
         }
         _ => {
             let job_id = c.u64s(0);
@@ -1546,7 +1616,7 @@ fn read_segment(table: &'static str, day: i64, root: &Path) -> SegmentOutcome {
             let files_read = c.u32s(3);
             let files_written = c.u32s(4);
             let io_time_s = c.u64s(5);
-            let (r, n, f) = decode_rows(rows, |i| {
+            decode_rows(rows, &mut into.io, limit, |i| {
                 Ok(IoRecord {
                     job_id: JobId::new(job_id[i]),
                     bytes_read: bytes_read[i],
@@ -1555,53 +1625,7 @@ fn read_segment(table: &'static str, day: i64, root: &Path) -> SegmentOutcome {
                     files_written: files_written[i],
                     io_time_s: f64::from_bits(io_time_s[i]),
                 })
-            });
-            (DecodedRows::Io(r), n, f)
-        }
-    };
-    // Rejected rows alone never quarantine here; the caller applies the
-    // per-segment ceiling and decides.
-    SegmentOutcome {
-        records,
-        rejected,
-        quarantine: None,
-        first_row_error: first,
-    }
-}
-
-/// Decoded rows of one segment, tagged by table.
-enum DecodedRows {
-    Jobs(Vec<JobRecord>),
-    Ras(Vec<RasRecord>),
-    Tasks(Vec<TaskRecord>),
-    Io(Vec<IoRecord>),
-}
-
-impl DecodedRows {
-    fn empty(table: &str) -> Self {
-        match table {
-            "jobs" => DecodedRows::Jobs(Vec::new()),
-            "ras" => DecodedRows::Ras(Vec::new()),
-            "tasks" => DecodedRows::Tasks(Vec::new()),
-            _ => DecodedRows::Io(Vec::new()),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            DecodedRows::Jobs(r) => r.len(),
-            DecodedRows::Ras(r) => r.len(),
-            DecodedRows::Tasks(r) => r.len(),
-            DecodedRows::Io(r) => r.len(),
-        }
-    }
-
-    fn table(&self) -> &'static str {
-        match self {
-            DecodedRows::Jobs(_) => "jobs",
-            DecodedRows::Ras(_) => "ras",
-            DecodedRows::Tasks(_) => "tasks",
-            DecodedRows::Io(_) => "io",
+            })
         }
     }
 }
@@ -1679,33 +1703,42 @@ fn load_segments(
     } else {
         opts.max_reject_ratio
     };
-    let mut ds = Dataset::new();
     let mut report = SnapshotReport {
         load: LoadReport::default(),
         segments: Vec::new(),
         partitions: PartitionMap::default(),
     };
-    // Prefetch every segment in parallel: each is an independent
-    // read+decode, and the accounting below consumes the outcomes in
-    // deterministic (table-major, day-ascending) order, so strict-mode
-    // errors and degraded reports are identical to a sequential pass.
-    let work: Vec<(&'static str, i64)> = TABLES
-        .iter()
+    // Read and decode every segment in parallel, straight into tables:
+    // each worker takes one contiguous run of the schedule and appends
+    // the rows of the segments it accepts onto a dataset of its own.
+    // The schedule is day-major, so a run holds all four tables of its
+    // days — a table-major list would hand one worker nearly all of the
+    // RAS decode, which dominates the load — and joining the runs' tables
+    // in run order keeps each table's segments in day order. The
+    // accounting below consumes the outcomes in table-major,
+    // day-ascending order, so strict-mode errors and degraded reports
+    // are identical to a sequential pass.
+    let loaded: Vec<&'static str> = TABLES
+        .into_iter()
         .filter(|t| availability.available(t))
-        .flat_map(|&t| days.iter().map(move |&d| (t, d)))
         .collect();
-    let decoded = bgq_par::par_map(&work, |&(t, d)| read_segment(t, d, root));
-    // Reserve the final tables once: appending ~2000 day segments into
-    // unsized vectors would re-copy each table log₂(segments) times.
-    let mut totals = [0usize; 4];
-    for out in &decoded {
-        totals[table_id(out.records.table()) as usize] += out.records.len();
-    }
-    ds.jobs.reserve(totals[0]);
-    ds.ras.reserve(totals[1]);
-    ds.tasks.reserve(totals[2]);
-    ds.io.reserve(totals[3]);
-    let mut outcomes: std::vec::IntoIter<SegmentOutcome> = decoded.into_iter();
+    let work: Vec<(&'static str, i64)> = days
+        .iter()
+        .flat_map(|&d| loaded.iter().map(move |&t| (t, d)))
+        .collect();
+    let runs: Vec<&[(&'static str, i64)]> = work
+        .chunks(work.len().div_ceil(bgq_par::max_workers()).max(1))
+        .collect();
+    let decoded = bgq_par::par_map(&runs, |run| {
+        let mut ds = Dataset::new();
+        let outcomes: Vec<SegmentOutcome> = run
+            .iter()
+            .map(|&(t, d)| read_segment(t, d, root, limit, &mut ds))
+            .collect();
+        (ds, outcomes)
+    });
+    let (parts, outcomes): (Vec<Dataset>, Vec<Vec<SegmentOutcome>>) = decoded.into_iter().unzip();
+    let mut outcomes: Vec<SegmentOutcome> = outcomes.into_iter().flatten().collect();
     for table in TABLES {
         let mut stats = TableLoadStats {
             table,
@@ -1716,7 +1749,7 @@ fn load_segments(
             retries: 0,
             first_schema_error: None,
         };
-        if !availability.available(table) {
+        let Some(column) = loaded.iter().position(|&t| t == table) else {
             if !opts.degraded {
                 return Err(SnapshotError::Unavailable { table });
             }
@@ -1724,39 +1757,22 @@ fn load_segments(
             bgq_obs::add_labeled("store.quarantined", table, 1);
             report.load.tables.push(stats);
             continue;
-        }
-        for &day in days {
-            let mut out = outcomes.next().expect("one outcome per scheduled segment");
-            // Per-segment reject ceiling: one corrupt day must not hide
-            // under the whole-table aggregate (nor fail the other 2000).
-            if out.quarantine.is_none() {
-                let scanned = out.records.len() + out.rejected;
-                let ratio = if scanned == 0 {
-                    0.0
-                } else {
-                    out.rejected as f64 / scanned as f64
-                };
-                if ratio > limit {
-                    let detail = out
-                        .first_row_error
-                        .clone()
-                        .unwrap_or_else(|| "rows rejected".to_owned());
-                    if !opts.degraded {
-                        return Err(SnapshotError::RejectRatio {
-                            table,
-                            day,
-                            rejected: out.rejected,
-                            rows: scanned,
-                            limit,
-                        });
-                    }
-                    out.quarantine = Some((SegmentQuarantine::RejectRatio, detail));
-                }
-            }
-            match out.quarantine {
+        };
+        for (i, &day) in days.iter().enumerate() {
+            let out = &mut outcomes[i * loaded.len() + column];
+            match out.quarantine.take() {
                 Some((q, detail)) => {
                     if !opts.degraded {
-                        return Err(SnapshotError::Segment { table, day, detail });
+                        return Err(match q {
+                            SegmentQuarantine::RejectRatio => SnapshotError::RejectRatio {
+                                table,
+                                day,
+                                rejected: out.rejected,
+                                rows: out.rows + out.rejected,
+                                limit,
+                            },
+                            _ => SnapshotError::Segment { table, day, detail },
+                        });
                     }
                     bgq_obs::add_labeled("snapshot.quarantined_segments", table, 1);
                     bgq_obs::warn!("segment {table}/day {day}: quarantined ({q}): {detail}");
@@ -1769,21 +1785,15 @@ fn load_segments(
                     });
                 }
                 None => {
-                    stats.rows += out.records.len();
+                    stats.rows += out.rows;
                     stats.rejected_schema += out.rejected;
                     report.segments.push(SegmentStats {
                         table,
                         day,
                         quarantined: None,
-                        rows: out.records.len(),
+                        rows: out.rows,
                         rejected: out.rejected,
                     });
-                    match out.records {
-                        DecodedRows::Jobs(mut r) => ds.jobs.append(&mut r),
-                        DecodedRows::Ras(mut r) => ds.ras.append(&mut r),
-                        DecodedRows::Tasks(mut r) => ds.tasks.append(&mut r),
-                        DecodedRows::Io(mut r) => ds.io.append(&mut r),
-                    }
                 }
             }
         }
@@ -1792,10 +1802,11 @@ fn load_segments(
         report.load.tables.push(stats);
     }
     // Segments arrive in day order with canonical order inside each, so
-    // jobs/ras/tasks are already canonical; I/O is grouped by day and
-    // needs its global by-job-id order restored. `normalize` pins the
-    // persistence-boundary contract either way.
-    ds.normalize();
+    // jobs/ras/tasks are already canonical and their (stable) sorts are
+    // linear run checks; I/O is grouped by day and needs its global
+    // by-job-id order restored. Normalizing pins the persistence-boundary
+    // contract either way.
+    let ds = Dataset::concat_normalized(parts);
     report.partitions = PartitionMap::of_dataset(&ds);
     Ok((ds, report))
 }
@@ -2102,6 +2113,69 @@ mod tests {
         std::fs::remove_dir_all(&root).unwrap();
     }
 
+    /// A resealed segment whose string table carries `Ré-M1` — a
+    /// two-byte character in the rack's digit position — rejects exactly
+    /// the rows naming that location; the load neither panics nor loses
+    /// the rest of the segment.
+    #[test]
+    fn multibyte_location_rejects_its_rows_instead_of_panicking() {
+        let mut ds = sample();
+        ds.ras[2].location = "R17-M1".parse().unwrap();
+        let root = tmp("multibyte");
+        write_dir(&ds, &root, &SourceAvailability::ALL).unwrap();
+        let path = segment_path(&root, "ras", 15805);
+        let mut bytes = std::fs::read(&path).unwrap();
+        let at = bytes
+            .windows(6)
+            .position(|w| w == b"R17-M1")
+            .expect("location in the string table");
+        bytes[at + 1..at + 3].copy_from_slice("é".as_bytes());
+        reseal(&mut bytes);
+        std::fs::write(&path, &bytes).unwrap();
+
+        let err = read_dir(&root).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                SnapshotError::RejectRatio {
+                    table: "ras",
+                    day: 15805,
+                    rejected: 1,
+                    rows: 2,
+                    ..
+                }
+            ),
+            "{err}"
+        );
+        let opts = LoadOptions {
+            max_reject_ratio: 0.5,
+            degraded: true,
+            ..LoadOptions::default()
+        };
+        let (loaded, report) = read_dir_with(&root, &opts).unwrap();
+        let seg = report
+            .segments
+            .iter()
+            .find(|s| s.table == "ras" && s.day == 15805)
+            .unwrap();
+        assert_eq!((seg.quarantined, seg.rows, seg.rejected), (None, 1, 1));
+        assert_eq!(loaded.ras.len(), 2);
+        assert!(loaded.ras.iter().all(|r| r.rec_id != RecId::new(3)));
+        // Past the ceiling, the segment is quarantined with the row's
+        // parse failure as the reason.
+        let opts = LoadOptions {
+            max_reject_ratio: 0.0,
+            degraded: true,
+            ..LoadOptions::default()
+        };
+        let (_, report) = read_dir_with(&root, &opts).unwrap();
+        let q = report.quarantined_segments();
+        assert_eq!(q.len(), 1);
+        assert_eq!((q[0].table, q[0].day), ("ras", 15805));
+        assert_eq!(q[0].quarantined, Some(SegmentQuarantine::RejectRatio));
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
     #[test]
     fn unavailable_table_roundtrips_as_quarantined() {
         let ds = sample();
@@ -2190,6 +2264,162 @@ mod tests {
         }
         assert_ne!(checksum(&base[..64]), h, "truncation undetected");
         assert_ne!(checksum(&[0u8; 64]), checksum(&[0u8; 32]), "zero-extension undetected");
+    }
+
+    /// The string table as first parsed: bounds and UTF-8 checked one
+    /// entry at a time, stopping at the first failure.
+    fn reference_strings(count: usize, payload: &[u8]) -> Result<(Vec<&str>, usize), String> {
+        let mut at = 0usize;
+        let mut strings = Vec::new();
+        for i in 0..count {
+            if at + 4 > payload.len() {
+                return Err(format!("string {i} runs past payload"));
+            }
+            let len = u32::from_le_bytes(payload[at..at + 4].try_into().unwrap()) as usize;
+            at += 4;
+            if at + len > payload.len() {
+                return Err(format!("string {i} runs past payload"));
+            }
+            let s = std::str::from_utf8(&payload[at..at + len])
+                .map_err(|_| format!("string {i} is not UTF-8"))?;
+            strings.push(s);
+            at += len;
+        }
+        Ok((strings, at))
+    }
+
+    #[test]
+    fn string_table_checks_match_per_entry_validation() {
+        let table = |entries: &[&[u8]]| {
+            let mut out = Vec::new();
+            for e in entries {
+                out.extend_from_slice(&(e.len() as u32).to_le_bytes());
+                out.extend_from_slice(e);
+            }
+            out
+        };
+        let long_valid = "é".repeat(100); // 200 bytes: a non-ASCII length prefix
+        let a169 = [b'a'; 169]; // length prefix 0xA9, a UTF-8 continuation byte
+        let cases: Vec<(usize, Vec<u8>)> = vec![
+            (3, table(&[b"R17-M0", b"", b"DDR error"])),
+            (2, table(&["Ré-M0".as_bytes(), "☃ 😀".as_bytes()])),
+            (2, table(&[b"ok", long_valid.as_bytes()])),
+            (3, table(&[b"ok", &[0xFF], b"after"])),
+            // Alone, 0xC3 is invalid; followed by the next entry's 0xA9
+            // length byte the section as a whole reads as valid "é".
+            (3, table(&[b"x", &[0xC3], &a169])),
+            (5, table(&[b"x", b"y"])),
+            (3, table(&[b"x", &[0xC3], b"y"])[..9].to_vec()),
+            (1, vec![9, 0, 0, 0, b'a']),
+            (0, Vec::new()),
+        ];
+        for (count, payload) in cases {
+            let got = split_payload("io", 0, count, &payload).map_err(|(q, detail)| {
+                assert_eq!(q, SegmentQuarantine::Header);
+                detail
+            });
+            let want = reference_strings(count, &payload);
+            match (got, want) {
+                (Ok((strings, cols)), Ok((want, at))) => {
+                    assert_eq!(strings, want);
+                    assert_eq!(cols.len(), payload.len() - at);
+                }
+                (Err(got), Err(want)) => assert_eq!(got, want),
+                (got, want) => panic!("{payload:?}: got {got:?}, want {want:?}"),
+            }
+        }
+    }
+
+    /// The original partition-map construction — a linear day scan per
+    /// table and a linear search of the runs for every day — kept as the
+    /// reference for the galloping/merge-walk version.
+    fn reference_partition_map(ds: &Dataset) -> PartitionMap {
+        fn runs(len: usize, day_at: impl Fn(usize) -> i64) -> Vec<(i64, Range<usize>)> {
+            let mut runs = Vec::new();
+            let mut start = 0usize;
+            while start < len {
+                let day = day_at(start);
+                let mut end = start + 1;
+                while end < len && day_at(end) == day {
+                    end += 1;
+                }
+                runs.push((day, start..end));
+                start = end;
+            }
+            runs
+        }
+        let jobs = runs(ds.jobs.len(), |i| day_of(ds.jobs[i].started_at));
+        let ras = runs(ds.ras.len(), |i| day_of(ds.ras[i].event_time));
+        let tasks = runs(ds.tasks.len(), |i| day_of(ds.tasks[i].started_at));
+        let mut days: Vec<i64> = jobs
+            .iter()
+            .chain(&ras)
+            .chain(&tasks)
+            .map(|(d, _)| *d)
+            .collect();
+        days.sort_unstable();
+        days.dedup();
+        let lookup = |runs: &[(i64, Range<usize>)], day: i64, after: &Range<usize>| {
+            runs.iter()
+                .find(|(d, _)| *d == day)
+                .map(|(_, r)| r.clone())
+                .unwrap_or(after.end..after.end)
+        };
+        let mut map = PartitionMap::default();
+        let (mut pj, mut pr, mut pt) = (0..0, 0..0, 0..0);
+        for day in days {
+            pj = lookup(&jobs, day, &pj);
+            pr = lookup(&ras, day, &pr);
+            pt = lookup(&tasks, day, &pt);
+            map.days.push(PartitionSpan {
+                day,
+                jobs: pj.clone(),
+                ras: pr.clone(),
+                tasks: pt.clone(),
+            });
+        }
+        map
+    }
+
+    #[test]
+    fn partition_map_matches_the_reference_on_the_v2_fixture() {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/snapshot_v2");
+        let (ds, parts) = read_dir(&dir).expect("committed fixture loads");
+        assert!(parts.len() > 1);
+        assert_eq!(parts, reference_partition_map(&ds));
+    }
+
+    #[test]
+    fn partition_map_matches_the_reference_on_sparse_days() {
+        let day = |d: i64, s: i64| 1_365_465_600 + d * SECS_PER_DAY + s;
+        // Each table skips days the others have, runs span 1..=5 rows,
+        // and one day is pre-epoch, so every empty-range case appears:
+        // before a table's first run, between runs, and after its last.
+        let mut ds = Dataset::new();
+        ds.jobs = vec![job(1, day(1, 5)), job(2, day(1, 9)), job(3, day(4, 0))];
+        ds.ras = (0..5)
+            .map(|i| ras(i, day(2, i as i64)))
+            .chain([ras(9, day(7, 1)), ras(10, -3)])
+            .collect();
+        ds.tasks = vec![task(1, 1, day(0, 0)), task(2, 3, day(4, 7))];
+        ds.normalize();
+        let mut cases = vec![ds.clone()];
+        for strip in 0..3 {
+            let mut sparse = ds.clone();
+            match strip {
+                0 => sparse.jobs.clear(),
+                1 => sparse.ras.clear(),
+                _ => sparse.tasks.retain(|t| t.task_id == TaskId::new(2)),
+            }
+            cases.push(sparse);
+        }
+        cases.push(Dataset::new());
+        for case in &cases {
+            assert_eq!(
+                PartitionMap::of_dataset(case),
+                reference_partition_map(case)
+            );
+        }
     }
 
     #[test]

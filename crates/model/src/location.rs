@@ -315,74 +315,98 @@ impl std::error::Error for ParseLocationError {}
 impl FromStr for Location {
     type Err = ParseLocationError;
 
+    /// Byte-level parse: `-` is ASCII, so splitting the bytes on it yields
+    /// exactly the segments a `str` split would, and no multi-byte
+    /// character can ever be mistaken for a digit or a level prefix.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let mut parts = s.split('-');
+        let err = |reason| ParseLocationError::new(s, reason);
+        let mut parts = s.as_bytes().split(|&b| b == b'-');
         let rack_part = parts
             .next()
             .filter(|p| !p.is_empty())
-            .ok_or_else(|| ParseLocationError::new(s, "empty input"))?;
+            .ok_or_else(|| err("empty input"))?;
         let rack_digits = rack_part
-            .strip_prefix('R')
-            .ok_or_else(|| ParseLocationError::new(s, "expected rack segment like R17"))?;
-        if rack_digits.len() != 2 {
-            return Err(ParseLocationError::new(s, "rack segment must be R<row><col>"));
-        }
-        let row = rack_digits[0..1]
-            .parse::<u8>()
-            .map_err(|_| ParseLocationError::new(s, "rack row must be a decimal digit"))?;
-        let col = u8::from_str_radix(&rack_digits[1..2], 16)
-            .map_err(|_| ParseLocationError::new(s, "rack column must be a hex digit"))?;
-        let rack = row
-            .checked_mul(16)
-            .and_then(|r| r.checked_add(col))
-            .filter(|&r| (r as usize) < Machine::MIRA.racks())
-            .ok_or_else(|| ParseLocationError::new(s, "rack index out of range"))?;
-        let mut loc = Location::rack(rack);
-
-        let expect = |prefix: char, max: usize, input: Option<&str>| -> Result<Option<u8>, ParseLocationError> {
-            let Some(seg) = input else { return Ok(None) };
-            let digits = seg
-                .strip_prefix(prefix)
-                .ok_or_else(|| ParseLocationError::new(s, "unexpected segment prefix"))?;
-            let v = digits
-                .parse::<u8>()
-                .map_err(|_| ParseLocationError::new(s, "segment index must be decimal"))?;
-            if (v as usize) >= max {
-                return Err(ParseLocationError::new(s, "segment index out of range"));
-            }
-            Ok(Some(v))
+            .strip_prefix(b"R")
+            .ok_or_else(|| err("expected rack segment like R17"))?;
+        let &[row, col] = rack_digits else {
+            return Err(err("rack segment must be R<row><col>"));
         };
-
+        if !row.is_ascii_digit() {
+            return Err(err("rack row must be a decimal digit"));
+        }
+        let col = char::from(col)
+            .to_digit(16)
+            .ok_or_else(|| err("rack column must be a hex digit"))?;
         let machine = Machine::MIRA;
-        if let Some(m) = expect('M', machine.midplanes_per_rack(), parts.next())? {
-            loc.midplane = m;
-            loc.granularity = Granularity::Midplane;
-        } else {
-            return Ok(loc);
+        // row ≤ 9 and col ≤ 15, so the index fits a u8 without overflow.
+        let rack = (row - b'0') * 16 + col as u8;
+        if usize::from(rack) >= machine.racks() {
+            return Err(err("rack index out of range"));
         }
-        if let Some(n) = expect('N', machine.boards_per_midplane(), parts.next())? {
-            loc.board = n;
-            loc.granularity = Granularity::NodeBoard;
-        } else {
-            return Ok(loc);
+        let levels = [
+            (b'M', machine.midplanes_per_rack()),
+            (b'N', machine.boards_per_midplane()),
+            (b'J', machine.cards_per_board()),
+            (b'C', machine.cores_per_card()),
+        ];
+        let mut below = [0u8; 4];
+        let mut depth = 0;
+        for (slot, (prefix, max)) in below.iter_mut().zip(levels) {
+            let Some(seg) = parts.next() else { break };
+            *slot = segment_index(seg, prefix, max).map_err(err)?;
+            depth += 1;
         }
-        if let Some(j) = expect('J', machine.cards_per_board(), parts.next())? {
-            loc.card = j;
-            loc.granularity = Granularity::ComputeCard;
-        } else {
-            return Ok(loc);
+        if depth == levels.len() && parts.next().is_some() {
+            return Err(err("trailing segments after core"));
         }
-        if let Some(c) = expect('C', machine.cores_per_card(), parts.next())? {
-            loc.core = c;
-            loc.granularity = Granularity::Core;
-        } else {
-            return Ok(loc);
-        }
-        if parts.next().is_some() {
-            return Err(ParseLocationError::new(s, "trailing segments after core"));
-        }
-        Ok(loc)
+        let [midplane, board, card, core] = below;
+        Ok(Location {
+            rack,
+            midplane,
+            board,
+            card,
+            core,
+            granularity: GRANULARITIES[depth],
+        })
     }
+}
+
+/// Granularity by the number of segments below the rack.
+const GRANULARITIES: [Granularity; 5] = [
+    Granularity::Rack,
+    Granularity::Midplane,
+    Granularity::NodeBoard,
+    Granularity::ComputeCard,
+    Granularity::Core,
+];
+
+/// Parses one `<prefix><index>` segment below the rack. The index
+/// follows `u8::from_str` exactly — one optional leading `+`, then at
+/// least one ASCII digit, any number of leading zeros, at most 255 —
+/// and must be below `max`.
+fn segment_index(seg: &[u8], prefix: u8, max: usize) -> Result<u8, &'static str> {
+    const NOT_DECIMAL: &str = "segment index must be decimal";
+    let digits = seg
+        .strip_prefix(&[prefix])
+        .ok_or("unexpected segment prefix")?;
+    let digits = digits.strip_prefix(b"+").unwrap_or(digits);
+    if digits.is_empty() {
+        return Err(NOT_DECIMAL);
+    }
+    let mut v = 0u8;
+    for &b in digits {
+        if !b.is_ascii_digit() {
+            return Err(NOT_DECIMAL);
+        }
+        v = v
+            .checked_mul(10)
+            .and_then(|v| v.checked_add(b - b'0'))
+            .ok_or(NOT_DECIMAL)?;
+    }
+    if usize::from(v) >= max {
+        return Err("segment index out of range");
+    }
+    Ok(v)
 }
 
 #[cfg(test)]
@@ -426,6 +450,57 @@ mod tests {
         ] {
             assert!(bad.parse::<Location>().is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn non_ascii_input_is_an_error_not_a_panic() {
+        // "Ré" has a two-byte rack "digit"; byte-length checks followed
+        // by str slicing used to panic on it.
+        for bad in [
+            "Ré",
+            "Ré-M0",
+            "R1é",
+            "é",
+            "R17-Mé",
+            "R17-M0-N0é",
+            "R17-M0-N08-J23-C05-é",
+        ] {
+            let err = bad.parse::<Location>().expect_err(bad);
+            assert!(
+                err.to_string()
+                    .starts_with(&format!("invalid location {bad:?}: ")),
+                "{err}"
+            );
+        }
+        assert_eq!(
+            "Ré".parse::<Location>().unwrap_err().to_string(),
+            "invalid location \"Ré\": rack row must be a decimal digit"
+        );
+    }
+
+    #[test]
+    fn segment_indices_follow_u8_parsing() {
+        let ok = |text: &str| text.parse::<Location>().unwrap().to_string();
+        assert_eq!(ok("R1a"), "R1A");
+        assert_eq!(ok("R17-M+1"), "R17-M1");
+        assert_eq!(ok("R17-M0-N0008"), "R17-M0-N08");
+        assert_eq!(ok("R17-M0-N08-J+031"), "R17-M0-N08-J31");
+        let reason = |text: &str| text.parse::<Location>().unwrap_err().reason;
+        assert_eq!(reason("R17-"), "unexpected segment prefix");
+        assert_eq!(reason("-R17"), "empty input");
+        assert_eq!(reason("R17-M"), "segment index must be decimal");
+        assert_eq!(reason("R17-M+"), "segment index must be decimal");
+        assert_eq!(reason("R17-M++1"), "segment index must be decimal");
+        assert_eq!(reason("R17-M-1"), "segment index must be decimal");
+        assert_eq!(reason("R17-M256"), "segment index must be decimal");
+        assert_eq!(reason("R17-M255"), "segment index out of range");
+        assert_eq!(reason("R+1"), "rack row must be a decimal digit");
+        assert_eq!(reason("R1+"), "rack column must be a hex digit");
+        assert_eq!(reason("R30"), "rack index out of range");
+        assert_eq!(
+            reason("R17-M0-N08-J23-C05-"),
+            "trailing segments after core"
+        );
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! Every production fast path in the toolkit — bucketed histogram
 //! binning, the interval stabbing index, the indexed temporal–spatial
-//! join, windowed utilization — exists because the obvious implementation
-//! is too slow at 2001-day scale. This crate keeps the obvious
+//! join, windowed utilization, byte-level location parsing — exists
+//! because the obvious implementation is too slow at 2001-day scale. This crate keeps the obvious
 //! implementations around: each function here is written for
 //! *transparency*, not speed (linear scans, quadratic joins, per-second
 //! stepping), so it can serve as the trusted side of a differential test.
@@ -27,6 +27,7 @@
 pub mod binning;
 pub mod cases;
 pub mod join;
+pub mod location;
 pub mod ranking;
 pub mod stabbing;
 pub mod users;

@@ -134,3 +134,65 @@ fn parallel_bootstrap_is_bit_identical_to_sequential() {
     });
     assert_eq!(par, seq, "bootstrap CI depends on thread schedule");
 }
+
+/// The snapshot load decodes segments on every worker and joins their
+/// tables: the dataset and the whole report — segment order, quarantine
+/// reasons, row and reject counts — must not depend on how many workers
+/// shared the archive.
+#[test]
+fn snapshot_load_is_identical_at_any_thread_count() {
+    use bgq_logs::snapshot::{self, SegmentQuarantine};
+    use bgq_logs::store::{LoadOptions, SourceAvailability};
+
+    let mut ds = generate(&SimConfig::small(24).with_seed(5)).dataset;
+    ds.normalize();
+    let root = std::env::temp_dir().join(format!("bgq-determinism-snap-{}", std::process::id()));
+    snapshot::write_dir(&ds, &root, &SourceAvailability::ALL).expect("write snapshot");
+    let load = |threads: usize, opts: &LoadOptions| {
+        bgq_par::with_max_threads(threads, || snapshot::read_dir_with(&root, opts))
+            .expect("load snapshot")
+    };
+
+    let strict = LoadOptions {
+        max_reject_ratio: 0.0,
+        max_retries: 0,
+        degraded: false,
+    };
+    let (seq, seq_report) = load(1, &strict);
+    let (par, par_report) = load(8, &strict);
+    assert_eq!(seq, ds, "strict load must reproduce the written dataset");
+    assert_eq!(par, seq, "strict load diverged across thread counts");
+    assert_eq!(par_report, seq_report);
+
+    // Flip one stored checksum byte of a RAS segment in the middle of
+    // the archive: a degraded load drops exactly that segment.
+    let days = snapshot::read_manifest(&root).expect("manifest").days;
+    let mid = days[days.len() / 2];
+    let path = snapshot::segment_path(&root, "ras", mid);
+    let mut bytes = std::fs::read(&path).expect("read segment");
+    bytes[snapshot::CHECKSUM_OFFSET] ^= 0x01;
+    std::fs::write(&path, &bytes).expect("write segment");
+    let degraded = LoadOptions {
+        degraded: true,
+        ..strict
+    };
+    let (seq, seq_report) = load(1, &degraded);
+    let (par, par_report) = load(8, &degraded);
+    assert_eq!(par, seq, "degraded load diverged across thread counts");
+    assert_eq!(par_report, seq_report);
+    let quarantined = seq_report.quarantined_segments();
+    assert_eq!(quarantined.len(), 1);
+    assert_eq!((quarantined[0].table, quarantined[0].day), ("ras", mid));
+    assert_eq!(
+        quarantined[0].quarantined,
+        Some(SegmentQuarantine::Checksum)
+    );
+    let lost = ds
+        .ras
+        .iter()
+        .filter(|r| snapshot::day_of(r.event_time) == mid)
+        .count();
+    assert!(lost > 0, "the flipped segment must hold rows");
+    assert_eq!(seq.ras.len(), ds.ras.len() - lost);
+    std::fs::remove_dir_all(&root).ok();
+}

@@ -17,6 +17,7 @@
 //! | `mine_chains` (sorted single pass)      | quadratic whole-log reconstruction    | bit-exact  |
 //! | columnar per-user engine                | one linear scan per distinct user     | bit-exact  |
 //! | `SpaceSaving` top-k sketch              | exact tally + full sort               | ≤ εW bound |
+//! | byte-level `Location::from_str`         | original `str::split` parser          | exact text |
 //!
 //! Random cases come from the vendored proptest harness (so failures
 //! shrink to minimal draw streams); the `#[ignore]`d corpus test replays
@@ -33,9 +34,11 @@ use bgq_logs::interval::IntervalIndex;
 use bgq_logs::join::attribute_events;
 use bgq_logs::snapshot;
 use bgq_logs::store::{Dataset, LoadOptions, SourceAvailability};
-use bgq_model::{Machine, Severity, Span, Timestamp};
+use bgq_model::{Location, Machine, Severity, Span, Timestamp};
 use bgq_oracle::cases::{self, AdversarialCase};
-use bgq_oracle::{binning, join as refjoin, ranking, stabbing, users, utilization};
+use bgq_oracle::{
+    binning, join as refjoin, location as refloc, ranking, stabbing, users, utilization,
+};
 use bgq_stats::correlation::spearman;
 use bgq_stats::histogram::Histogram;
 use bgq_stats::summary::Summary;
@@ -589,6 +592,86 @@ proptest! {
         capacity in 1usize..50,
     ) {
         check_sketch(&updates, capacity, "random stream");
+    }
+}
+
+/// Building blocks of location-code inputs: every level prefix, `+`,
+/// leading zeros, values on and past each range edge, bare and trailing
+/// `-`, stray ASCII, and multi-byte characters (including ones that sit
+/// exactly in the rack's two digit bytes).
+const LOCATION_TOKENS: &[&str] = &[
+    "R", "M", "N", "J", "C", "-", "--", "+", "0", "1", "2", "3", "5", "7", "9", "00", "08", "001",
+    "15", "16", "31", "32", "255", "256", "a", "F", "f", "G", "x", " ", "é", "ß", "☃", "😀", "R1",
+    "R17", "R2F", "R30", "Ré", "R1é", "-M0", "-M1", "-M+1", "-N08", "-N16", "-J23", "-J31", "-C05",
+    "-C15", "-C16",
+];
+
+/// Rack segments for the structured generator, valid and not.
+const LOCATION_RACKS: &[&str] = &[
+    "R00", "R17", "R2F", "R1a", "R30", "R3F", "Ré", "R1é", "R", "X17",
+];
+
+/// Level indices for the structured generator: in range, on and past
+/// each level's edge, with `+` and leading zeros, empty, and non-digit.
+const LOCATION_INDICES: &[&str] = &[
+    "0", "1", "00", "07", "+1", "0001", "15", "16", "31", "32", "255", "256", "", "+", "++1", "a",
+    "é", "1 ",
+];
+
+/// Strings shaped like location codes — the right level prefixes in the
+/// right order most of the time — so the accepting paths get exercised,
+/// mixed evenly with free-form token soup.
+fn location_text() -> impl Strategy<Value = String> {
+    let structured = (
+        0..LOCATION_RACKS.len(),
+        proptest::collection::vec((0usize..8, 0..LOCATION_INDICES.len()), 0..6),
+    )
+        .prop_map(|(rack, levels)| {
+            let mut text = LOCATION_RACKS[rack].to_owned();
+            for (depth, (prefix, index)) in levels.into_iter().enumerate() {
+                text.push('-');
+                text.push_str(match prefix {
+                    0..=5 => ["M", "N", "J", "C", "C", "C"][depth],
+                    6 => "X",
+                    _ => "é",
+                });
+                text.push_str(LOCATION_INDICES[index]);
+            }
+            text
+        });
+    let soup = proptest::collection::vec(0..LOCATION_TOKENS.len(), 0..9).prop_map(|picks| {
+        picks
+            .iter()
+            .map(|&i| LOCATION_TOKENS[i])
+            .collect::<String>()
+    });
+    prop_oneof![structured, soup]
+}
+
+/// Production and reference must agree on accept/reject, on the parsed
+/// value, and on the rendered error. The one sanctioned difference: the
+/// reference panics on a multi-byte character in the rack's digit
+/// position, where production must return an error instead.
+fn check_location(text: &str) {
+    let got = text.parse::<Location>().map_err(|e| e.to_string());
+    match std::panic::catch_unwind(|| refloc::parse_location(text)) {
+        Ok(want) => assert_eq!(got, want, "location {text:?}"),
+        Err(_) => {
+            let err = got.expect_err("the reference panicked, so the input is invalid");
+            assert!(
+                err.starts_with(&format!("invalid location {text:?}: ")),
+                "{err}"
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    #[test]
+    fn location_parser_matches_split_reference(text in location_text()) {
+        check_location(&text);
     }
 }
 
